@@ -29,11 +29,11 @@
 
 namespace {
 
-/// Every experiment reportable from shard state: the registry minus the
-/// ad-hoc-observer (dataset_stats) and self-driving
-/// (ablation_interception) entries, in canonical order. Passed
-/// identically to `run` and `reduce --run=` so both sides report the
-/// same documents in the same order.
+/// Every experiment reportable from shard state: the registry minus
+/// dataset_stats (its per-shard endpoint sets are not part of shard
+/// state) and the self-driving ablation_interception, in canonical
+/// order. Passed identically to `run` and `reduce --run=` so both sides
+/// report the same documents in the same order.
 const char* kDistributable =
     "table1,table2,table3,table4,table5,table6,table7,table8,table9,"
     "table13,table14,fig1,fig2,fig3,fig4,fig5,serials,interception,"

@@ -21,7 +21,9 @@
 //      the order-independent semantics finalize() reconciles the
 //      streaming pipeline toward.
 //   D  shard run: K prepared-mode Pipelines over contiguous ssl slices,
-//      per-shard observers attached.
+//      each with its own per-shard observers. Observers never share
+//      state across shards, so phase D takes no lock: accumulators keep
+//      one slot per shard (Sharded<A>) and fold after the run.
 //   E  merge: shard registries, totals, and analyzer states fold into one
 //      Pipeline in shard order; finalize() flags interception certs.
 //
@@ -41,7 +43,6 @@
 #include <cstddef>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -91,13 +92,10 @@ class PipelineExecutor {
   std::size_t shard_count() const { return threads_; }
 
   /// Per-shard observers: the factory runs once per shard; each returned
-  /// observer only ever fires on its own shard's thread.
+  /// observer only ever fires on its own shard's thread, so observers
+  /// need no locking. Every observer is per-shard: an accumulator keeps
+  /// one slot per shard (see attach()) and folds them after run().
   void add_observer_factory(ObserverFactory factory);
-
-  /// Shared observer: one callable fired from every shard, serialized by a
-  /// mutex. Connections arrive shard-interleaved, so only commutative
-  /// accumulators (counters, sets, min/max) observe deterministically.
-  void add_shared_observer(Observer observer);
 
   /// Attaches one analyzer instance per shard; merge with
   /// std::move(sharded).merged() after run(). `sharded` must outlive the
@@ -200,7 +198,7 @@ class PipelineExecutor {
       const ingest::IngestOptions& options = {});
 
  private:
-  /// K prepared-mode pipelines with per-shard and shared observers wired.
+  /// K prepared-mode pipelines, each with its per-shard observers wired.
   std::vector<Pipeline> make_shards(const Pipeline::Prepared& prepared);
 
   /// The zero-materialization container path (DESIGN §15): phase A
@@ -215,8 +213,6 @@ class PipelineExecutor {
   PipelineConfig config_;
   std::size_t threads_;
   std::vector<ObserverFactory> factories_;
-  std::vector<Observer> shared_observers_;
-  std::mutex shared_mutex_;
   ScanMode scan_mode_ = ScanMode::kAuto;
   RunStats stats_;
 };

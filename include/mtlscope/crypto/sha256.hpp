@@ -1,5 +1,9 @@
 // SHA-256 (FIPS 180-4). Self-contained implementation used for certificate
-// fingerprints and as the primitive behind the tsig toy signature scheme.
+// fingerprints, container/state/checkpoint trailers, and as the primitive
+// behind the tsig toy signature scheme. Full 64-byte blocks go through a
+// block kernel chosen once per process from CPUID: the x86 SHA extensions
+// (SHA-NI) when present, otherwise the portable FIPS 180-4 reference.
+// Both produce the same digests bit for bit.
 #pragma once
 
 #include <array>
@@ -11,6 +15,26 @@
 #include <vector>
 
 namespace mtlscope::crypto {
+
+class Sha256;
+
+namespace detail {
+
+/// Compresses `count` consecutive 64-byte blocks at `blocks` (any
+/// alignment) into the eight-word chaining `state`.
+using BlockKernel = void (*)(std::uint32_t* state, const std::uint8_t* blocks,
+                             std::size_t count);
+
+/// The portable FIPS 180-4 kernel: the reference, and the path on CPUs
+/// without SHA extensions.
+BlockKernel portable_kernel();
+/// The SHA-NI kernel, or nullptr when this CPU (or build target) lacks it.
+BlockKernel shani_kernel();
+/// A hasher pinned to `kernel` instead of the process-wide choice. For the
+/// kernel parity tests; production code constructs Sha256 directly.
+Sha256 sha256_with_kernel(BlockKernel kernel);
+
+}  // namespace detail
 
 /// Incremental SHA-256 hasher.
 ///
@@ -39,8 +63,10 @@ class Sha256 {
   static Digest hash(std::string_view data);
 
  private:
-  void process_block(const std::uint8_t* block);
+  friend Sha256 detail::sha256_with_kernel(detail::BlockKernel kernel);
+  explicit Sha256(detail::BlockKernel kernel);
 
+  detail::BlockKernel kernel_;
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

@@ -38,12 +38,8 @@ class Harness {
 
   std::size_t shard_count() const { return executor_.shard_count(); }
 
-  /// Shared observer, fired from every shard under a mutex — use for
-  /// ad-hoc commutative accumulators (counters, sets).
-  void add_observer(core::Pipeline::Observer observer);
-
-  /// One analyzer instance per shard; merge with std::move(s).merged()
-  /// after run().
+  /// One analyzer (or accumulator) instance per shard; merge with
+  /// std::move(s).merged() after run().
   template <typename A>
   void attach(core::Sharded<A>& sharded) {
     executor_.attach(sharded);

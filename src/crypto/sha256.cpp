@@ -1,7 +1,16 @@
 #include "mtlscope/crypto/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+#define MTLSCOPE_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define MTLSCOPE_SHA256_X86 0
+#endif
 
 namespace mtlscope::crypto {
 namespace {
@@ -25,11 +34,7 @@ constexpr std::array<std::uint32_t, 8> kInit = {
 
 inline std::uint32_t rotr(std::uint32_t x, int n) { return std::rotr(x, n); }
 
-}  // namespace
-
-Sha256::Sha256() : state_(kInit) {}
-
-void Sha256::process_block(const std::uint8_t* block) {
+void process_block(std::uint32_t* state, const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[4 * i]} << 24) |
@@ -45,7 +50,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  auto [a, b, c, d, e, f, g, h] = state_;
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -62,17 +68,116 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
 }
 
+void portable_blocks(std::uint32_t* state, const std::uint8_t* blocks,
+                     std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) process_block(state, blocks + 64 * i);
+}
+
+#if MTLSCOPE_SHA256_X86
+// The Intel SHA extensions: sha256rnds2 runs two rounds on the state held
+// as ABEF/CDGH halves, sha256msg1/msg2 extend the message schedule four
+// words at a time. Group g (rounds 4g..4g+3) consumes schedule register
+// w[g % 4]; groups 3..14 finish the next register, 1..12 start the one
+// after. All loads are unaligned, so any input offset is valid.
+__attribute__((target("sha,sse4.1"))) void shani_blocks(
+    std::uint32_t* state, const std::uint8_t* blocks, std::size_t count) {
+  const __m128i byteswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xB1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (std::size_t n = 0; n < count; ++n, blocks += 64) {
+    const __m128i abef_saved = abef;
+    const __m128i cdgh_saved = cdgh;
+    __m128i w[4];
+    for (int i = 0; i < 4; ++i) {
+      w[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          byteswap);
+    }
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      const __m128i k =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kK[4 * g]));
+      __m128i msg = _mm_add_epi32(w[g & 3], k);
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      if (g >= 3 && g < 15) {
+        __m128i& next = w[(g + 1) & 3];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(w[g & 3], w[(g - 1) & 3], 4));
+        next = _mm_sha256msg2_epu32(next, w[g & 3]);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+      if (g >= 1 && g < 13) {
+        w[(g - 1) & 3] = _mm_sha256msg1_epu32(w[(g - 1) & 3], w[g & 3]);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_saved);
+    cdgh = _mm_add_epi32(cdgh, cdgh_saved);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool cpu_has_shani() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx)) return false;
+  if (!(ecx & bit_SSSE3) || !(ecx & bit_SSE4_1)) return false;
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) return false;
+  return (ebx & bit_SHA) != 0;
+}
+#endif
+
+}  // namespace
+
+namespace detail {
+
+BlockKernel portable_kernel() { return &portable_blocks; }
+
+BlockKernel shani_kernel() {
+#if MTLSCOPE_SHA256_X86
+  // CPUID runs once per process; every hasher reuses the answer.
+  static const bool available = cpu_has_shani();
+  return available ? &shani_blocks : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256 sha256_with_kernel(BlockKernel kernel) { return Sha256(kernel); }
+
+}  // namespace detail
+
+Sha256::Sha256()
+    : Sha256(detail::shani_kernel() != nullptr ? detail::shani_kernel()
+                                               : detail::portable_kernel()) {}
+
+Sha256::Sha256(detail::BlockKernel kernel) : kernel_(kernel), state_(kInit) {}
+
 void Sha256::update(std::span<const std::uint8_t> data) {
+  if (data.empty()) return;
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
@@ -82,13 +187,14 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == 64) {
-      process_block(buffer_.data());
+      kernel_(state_.data(), buffer_.data(), 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  const std::size_t blocks = (data.size() - offset) / 64;
+  if (blocks > 0) {
+    kernel_(state_.data(), data.data() + offset, blocks);
+    offset += 64 * blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
@@ -103,20 +209,17 @@ void Sha256::update(std::string_view data) {
 
 Sha256::Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(std::span<const std::uint8_t>(&pad_byte, 1));
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    update(std::span<const std::uint8_t>(&zero, 1));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::fill(buffer_.begin() + buffer_len_, buffer_.end(), 0);
+    kernel_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-  std::array<std::uint8_t, 8> len_bytes;
+  std::fill(buffer_.begin() + buffer_len_, buffer_.begin() + 56, 0);
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  // Length bytes must not be counted in total_len_, but at this point the
-  // padding has already fixed the final block, so feeding them through
-  // update() is safe: it fills the buffer to 64 and flushes.
-  update(std::span<const std::uint8_t>(len_bytes.data(), len_bytes.size()));
+  kernel_(state_.data(), buffer_.data(), 1);
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -90,14 +90,10 @@ core::Pipeline& Harness::pipeline() {
   if (!pipeline_) {
     std::fprintf(stderr,
                  "Harness::pipeline() called before run(); observers must "
-                 "be registered via add_observer()/attach()\n");
+                 "be registered via attach()\n");
     std::abort();
   }
   return *pipeline_;
-}
-
-void Harness::add_observer(core::Pipeline::Observer observer) {
-  executor_.add_shared_observer(std::move(observer));
 }
 
 void Harness::run() {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "mtlscope/crypto/encoding.hpp"
 #include "mtlscope/crypto/rng.hpp"
@@ -69,6 +71,81 @@ TEST_P(Sha256PaddingEdge, MatchesByteAtATime) {
 INSTANTIATE_TEST_SUITE_P(Boundaries, Sha256PaddingEdge,
                          ::testing::Values(0, 1, 54, 55, 56, 57, 63, 64, 65,
                                            119, 120, 128, 1000));
+
+// --- Block-kernel parity ----------------------------------------------------
+// Sha256 runs full blocks through SHA-NI when the CPU has it, so the vectors
+// above only reach one kernel per host. These pin hashers to each kernel and
+// compare them on every length 0..1024, at unaligned start offsets, and under
+// random update() splits, against the portable reference.
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng() & 0xff);
+  return out;
+}
+
+Sha256::Digest hash_with(detail::BlockKernel kernel, const std::uint8_t* data,
+                         std::size_t size) {
+  Sha256 h = detail::sha256_with_kernel(kernel);
+  h.update(std::span<const std::uint8_t>(data, size));
+  return h.finish();
+}
+
+TEST(Sha256Kernels, DefaultHasherMatchesPortable) {
+  ASSERT_NE(detail::portable_kernel(), nullptr);
+  const std::string two_blocks =
+      "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+  EXPECT_EQ(digest_hex(hash_with(
+                detail::portable_kernel(),
+                reinterpret_cast<const std::uint8_t*>(two_blocks.data()),
+                two_blocks.size())),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  // Whatever kernel the process chose, the default hasher agrees with the
+  // reference on a multi-block input.
+  const auto data = random_bytes(4096 + 17, 1);
+  EXPECT_EQ(Sha256::hash(data),
+            hash_with(detail::portable_kernel(), data.data(), data.size()));
+}
+
+TEST(Sha256Kernels, ShaNiMatchesPortableOnEveryLengthAndOffset) {
+  const detail::BlockKernel shani = detail::shani_kernel();
+  if (shani == nullptr) GTEST_SKIP() << "CPU lacks the SHA extensions";
+  const auto data = random_bytes(1024 + 16, 2);
+  for (std::size_t offset = 0; offset < 16; offset += 5) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* start = data.data() + offset;
+      ASSERT_EQ(hash_with(shani, start, len),
+                hash_with(detail::portable_kernel(), start, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Sha256Kernels, RandomIncrementalSplitsMatchOneShot) {
+  std::vector<detail::BlockKernel> kernels = {detail::portable_kernel()};
+  if (detail::shani_kernel() != nullptr) {
+    kernels.push_back(detail::shani_kernel());
+  }
+  const auto data = random_bytes(1024 + 7, 3);
+  Rng rng(4);
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    const std::uint8_t* start = data.data() + len % 8;
+    const auto expected = hash_with(detail::portable_kernel(), start, len);
+    for (const detail::BlockKernel kernel : kernels) {
+      Sha256 h = detail::sha256_with_kernel(kernel);
+      std::size_t fed = 0;
+      while (fed < len) {
+        // Mostly short pieces, sometimes several blocks at once.
+        const std::size_t piece = std::min<std::size_t>(
+            len - fed, rng.chance(0.2) ? rng.below(200) : rng.below(70));
+        h.update(std::span<const std::uint8_t>(start + fed, piece));
+        fed += piece;
+      }
+      ASSERT_EQ(h.finish(), expected) << "length " << len;
+    }
+  }
+}
 
 // --- HMAC-SHA256 RFC 4231 vectors ------------------------------------------
 
