@@ -1,9 +1,11 @@
 // Zeek record-parsing microbench: the row-materializing legacy parser
 // (parse_*_log_reference: getline + vector<string> per row) against the
 // compiled-plan zero-copy batch path (parse_*_records over in-place
-// views). Default scale yields a ~100 MB ssl.log; override with
-// MTLSCOPE_PARSE_BENCH_CONN=<conn_scale> for quick local runs. Rates are
-// reported as both records/s (items) and parse bytes/s.
+// views), and the fast ssl path on four threads over disjoint shares of
+// one body (BM_SslParseFastThreaded). Default scale yields a ~100 MB
+// ssl.log; override with MTLSCOPE_PARSE_BENCH_CONN=<conn_scale> for quick
+// local runs. Rates are reported as both records/s (items) and parse
+// bytes/s.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -100,6 +102,48 @@ void BM_SslParseFast(benchmark::State& state) {
       static_cast<std::int64_t>(logs.ssl_text.size() * state.iterations()));
 }
 BENCHMARK(BM_SslParseFast)->Unit(benchmark::kMillisecond);
+
+/// BM_SslParseFast on several threads at once, each parsing its own
+/// record-aligned share of the body, as the executor's workers do. The
+/// threads share nothing but the global StringArena, so the gap to the
+/// single-thread rate shows the cost of interning under contention.
+void BM_SslParseFastThreaded(benchmark::State& state) {
+  const auto& logs = fixture();
+  const std::string_view text(logs.ssl_text);
+  const std::size_t body_begin = header_end(text);
+  const std::string_view body = text.substr(body_begin);
+  const zeek::SslPlan plan = zeek::SslPlan::compile(
+      zeek::ColumnPlan::from_header(text.substr(0, body_begin)));
+  // Cut just past the newline at or after each share boundary.
+  const auto cut = [&](std::size_t share) -> std::size_t {
+    const std::size_t at = body.size() * share /
+                           static_cast<std::size_t>(state.threads());
+    if (at == 0) return 0;
+    const std::size_t nl = body.find('\n', at - 1);
+    return nl == std::string_view::npos ? body.size() : nl + 1;
+  };
+  const std::size_t share = static_cast<std::size_t>(state.thread_index());
+  const std::size_t begin = cut(share);
+  const std::string_view part = body.substr(begin, cut(share + 1) - begin);
+  std::vector<zeek::SslRecord> out;
+  std::size_t records = 0;
+  for (auto _ : state) {
+    out.clear();
+    if (!zeek::parse_ssl_records(part, plan, out)) {
+      state.SkipWithError("fast ssl parse failed");
+      return;
+    }
+    records += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(part.size() * state.iterations()));
+}
+BENCHMARK(BM_SslParseFastThreaded)
+    ->Threads(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_X509ParseLegacy(benchmark::State& state) {
   const auto& logs = fixture();

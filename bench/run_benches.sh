@@ -31,9 +31,12 @@ compact_out=${5:-"$repo_root/BENCH_compact.json"}
 enrich_out=${6:-"$repo_root/BENCH_enrich.json"}
 chaos_out=${7:-"$repo_root/BENCH_chaos.json"}
 
+# run_bench BINARY OUT [REPETITIONS]: with more than one repetition the
+# JSON also carries google-benchmark's mean/median/stddev/cv aggregates.
 run_bench() {
   bench_bin="$build_dir/bench/$1"
   out_file=$2
+  repetitions=${3:-1}
   if [ ! -x "$bench_bin" ]; then
     echo "error: $bench_bin not built (cmake --build $build_dir)" >&2
     exit 1
@@ -41,11 +44,11 @@ run_bench() {
   "$bench_bin" \
     --benchmark_out="$out_file" \
     --benchmark_out_format=json \
-    --benchmark_repetitions=1
+    --benchmark_repetitions="$repetitions"
   echo "wrote $out_file"
 }
 
-run_bench perf_zeek_parse "$parse_out"
+run_bench perf_zeek_parse "$parse_out" 5
 run_bench perf_state "$state_out"
 run_bench perf_watch "$watch_out"
 run_bench perf_compact "$compact_out"

@@ -6,10 +6,10 @@
 // millions of repeated issuers/SNIs/fuids without per-record copies.
 //
 // Two global arenas exist: `StringArena::global()` for log-field
-// strings and `CertArena::global()` for raw DER blobs (bigger chunks,
-// separate accounting). `Str` is arena-agnostic — equality and ordering
-// always fall back to byte comparison, so values from different arenas
-// interoperate; the split only affects pooling and stats.
+// strings and `CertArena::global()` for raw DER blobs (bigger chunks).
+// `Str` is arena-agnostic — equality and ordering always fall back to
+// byte comparison, so values from different arenas interoperate; the
+// split only affects pooling.
 //
 // Determinism note: interned *pointers* depend on thread interleaving,
 // so nothing ordered may key on identity. `Str` therefore orders and
@@ -56,8 +56,10 @@ class Str {
   bool empty() const { return size_ == 0; }
 
   friend bool operator==(const Str& a, const Str& b) {
+    // A default Str has a null data pointer, which memcmp may not see
+    // even for a zero length.
     return a.size_ == b.size_ &&
-           (a.data_ == b.data_ ||
+           (a.data_ == b.data_ || a.size_ == 0 ||
             std::memcmp(a.data_, b.data_, a.size_) == 0);
   }
   friend bool operator==(const Str& a, std::string_view b) {
@@ -223,17 +225,12 @@ struct StrEq {
 /// hash set over views into bump-allocated chunks. Storage is stable
 /// for the arena's lifetime (strings larger than a chunk get a
 /// dedicated allocation, so embedded NULs and multi-megabyte DNs are
-/// fine); nothing is ever freed.
+/// fine); nothing is ever freed. Every intern takes a shard lock, so
+/// hot decode paths resolve repeats in a call-local table first (the
+/// Zeek parsers' chunk dictionary, the container's block dictionaries;
+/// DESIGN §14) and reach the arena about once per distinct value.
 class StringArena {
  public:
-  struct Stats {
-    std::uint64_t strings = 0;      // distinct interned values
-    std::uint64_t bytes = 0;        // payload bytes (excluding NULs)
-    std::uint64_t chunk_bytes = 0;  // reserved storage
-    std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;
-  };
-
   explicit StringArena(std::size_t chunk_bytes = 256 * 1024)
       : chunk_bytes_(chunk_bytes) {}
   StringArena(const StringArena&) = delete;
@@ -243,7 +240,6 @@ class StringArena {
   static StringArena& global();
 
   Str intern(std::string_view s);
-  Stats stats() const;
 
  private:
   struct ViewHash {
@@ -254,12 +250,11 @@ class StringArena {
   };
 
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unordered_set<std::string_view, ViewHash, std::equal_to<>> set;
     std::vector<std::unique_ptr<char[]>> chunks;
     char* cursor = nullptr;  // bump pointer into chunks.back()
     std::size_t remaining = 0;
-    Stats stats;
   };
 
   static constexpr std::size_t kShardCount = 16;
@@ -269,7 +264,7 @@ class StringArena {
 };
 
 /// Interning pool for raw DER certificate bytes: same machinery, bigger
-/// chunks, separate accounting so cert dedup is visible on its own.
+/// chunks, kept apart from the log-field strings.
 class CertArena {
  public:
   static CertArena& global();
@@ -279,7 +274,6 @@ class CertArena {
     return arena_.intern(
         std::string_view(reinterpret_cast<const char*>(data), size));
   }
-  StringArena::Stats stats() const { return arena_.stats(); }
 
  private:
   StringArena arena_{1024 * 1024};

@@ -59,7 +59,6 @@
 namespace mtlscope::colfmt {
 
 class SslBlockScan;
-struct SslScanColumns;
 
 inline constexpr char kContainerMagic[8] = {'M', 'T', 'L', 'S',
                                             'C', 'O', 'M', 'P'};
@@ -201,7 +200,7 @@ class ContainerReader {
   /// per-column cursors straight over the mapped payload, no record
   /// vector. Same validation and thread-safety as decode_ssl_block.
   SslBlockScan scan_ssl_block(const FrameRef& block,
-                              const SslScanColumns& columns) const;
+                              const zeek::SslColumns& columns) const;
 
  private:
   ContainerReader() = default;

@@ -13,6 +13,8 @@
 //   B  chain upgrades: whole-stream pass marking leaves public when any
 //      connection carries a public intermediate for them (§3.2.1) —
 //      monotonic, so a single pre-pass equals the streaming fixpoint.
+//      It reads only the established flag and the two chains
+//      (zeek::SslColumns::upgrades(), for TSV and container alike).
 //   C  interception pre-pass (when CT is configured): shard-local
 //      candidate maps (issuer → distinct CT-mismatching SLDs) merged by
 //      set union; issuers at or above the confirmation threshold form the
@@ -33,9 +35,13 @@
 //     pre-pass is queue-fed — one reader thread cuts the mmap'd file into
 //     record-aligned chunks, K workers parse them, and a bounded reorder
 //     window re-sequences results so order-sensitive phases (A's
-//     first-fuid-wins, B's serial upgrades) see records in exact stream
-//     order. Phase D streams static record-aligned byte ranges, one per
-//     shard. Peak resident memory is O(chunk_bytes × (queue_depth + K))
+//     first-fuid-wins, B's serial upgrades) see them in exact stream
+//     order. B's workers forward only the chains an upgrade can change,
+//     not records. Phase D streams static record-aligned byte ranges, one
+//     per shard; phases C and D parse without uid
+//     (zeek::SslColumns::pipeline()). Every parse call interns through
+//     its own chunk dictionary, so the workers meet on the global
+//     StringArena's locks only for a chunk's first sight of a value. Peak resident memory is O(chunk_bytes × (queue_depth + K))
 //     plus the certificate registry — never O(file size) — and the output
 //     is byte-identical to the in-memory path.
 #pragma once
@@ -67,8 +73,9 @@ namespace mtlscope::core {
 ///                in-memory phases (the historical path);
 ///  * kColumnar — zero-materialization: phase B/D walk the packed block
 ///                columns in place through colfmt::SslBlockScan, feeding
-///                one reused record per row and pruning columns the
-///                pipeline never reads (uid);
+///                one reused record per row and pruning columns with the
+///                same zeek::SslColumns manifests the TSV path parses
+///                with (upgrades() for B, pipeline() for D);
 ///  * kAuto     — columnar when eligible, rows otherwise.
 /// The columnar path requires no CT database (phase C re-streams full
 /// records); a forced kColumnar run with CT configured falls back to

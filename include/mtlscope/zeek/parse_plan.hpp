@@ -127,10 +127,18 @@ std::string_view decode_field(std::string_view raw, std::string& storage);
 /// offsets physical line numbers in errors so chunked and whole-file
 /// parses report identical positions. Returns false with `error` filled
 /// on the first malformed row; `out` contents are unspecified then.
+///
+/// Strings are interned through a dictionary private to the call: a
+/// value repeated within `body` resolves there, and only its first
+/// occurrence takes a StringArena::global() shard lock. The handles are
+/// the global arena's own (pointer-equal to StringArena::global().intern
+/// of the same bytes). ssl fields outside `columns` are left default;
+/// errors and quarantine do not depend on `columns` (see SslColumns).
 bool parse_ssl_records(std::string_view body, const SslPlan& plan,
                        std::vector<SslRecord>& out,
                        LogParseError* error = nullptr,
-                       std::size_t header_lines = 0);
+                       std::size_t header_lines = 0,
+                       const SslColumns& columns = SslColumns::all());
 
 bool parse_x509_records(std::string_view body, const X509Plan& plan,
                         std::vector<X509Record>& out,
@@ -177,12 +185,11 @@ struct TolerantStats {
 /// quarantined ("data row before #fields header" / "missing field ...");
 /// a rowless body with no plan yields one "missing #fields header"
 /// issue.
-TolerantStats parse_ssl_records_tolerant(std::string_view body,
-                                         const SslPlan& plan,
-                                         std::vector<SslRecord>& out,
-                                         std::vector<RowIssue>* issues,
-                                         std::size_t header_lines = 0,
-                                         std::size_t base_offset = 0);
+TolerantStats parse_ssl_records_tolerant(
+    std::string_view body, const SslPlan& plan, std::vector<SslRecord>& out,
+    std::vector<RowIssue>* issues, std::size_t header_lines = 0,
+    std::size_t base_offset = 0,
+    const SslColumns& columns = SslColumns::all());
 
 TolerantStats parse_x509_records_tolerant(std::string_view body,
                                           const X509Plan& plan,

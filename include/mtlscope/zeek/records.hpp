@@ -39,6 +39,47 @@ struct SslRecord {
   }
 };
 
+/// Column manifest: which ssl-row fields a consumer reads. Both input
+/// formats honour it — the TSV parsers (parse_ssl_records*) and the
+/// container scan (colfmt::SslBlockScan) — so a phase names its columns
+/// once whatever it reads from. A field not requested is left untouched
+/// in the output record: the TSV parsers append default-constructed
+/// records, and a consumer reusing one scan record must clear pruned
+/// fields once before the scan. The manifest never changes which rows
+/// parse: the TSV parsers validate field counts and every numeric field
+/// of every row whatever is requested.
+struct SslColumns {
+  bool ts = true;
+  bool uid = true;  ///< the only per-row unique (never repeated) field
+  bool endpoints = true;  ///< orig_h/orig_p/resp_h/resp_p
+  bool version = true;
+  bool server_name = true;
+  bool established = true;
+  bool chains = true;  ///< both certificate-chain fuid columns
+
+  static SslColumns all() { return {}; }
+
+  /// What the analysis pipeline reads: everything except uid, which no
+  /// enrichment rule or analyzer consults.
+  static SslColumns pipeline() {
+    SslColumns columns;
+    columns.uid = false;
+    return columns;
+  }
+
+  /// What the chain-upgrade pass reads: the established flag and the
+  /// two chains.
+  static SslColumns upgrades() {
+    SslColumns columns;
+    columns.ts = false;
+    columns.uid = false;
+    columns.endpoints = false;
+    columns.version = false;
+    columns.server_name = false;
+    return columns;
+  }
+};
+
 /// One x509.log row. Zeek logs parsed fields; we additionally carry the
 /// DER (as Zeek can be configured to do), which lets the analysis
 /// pipeline re-parse certificates rather than trusting the log fields.

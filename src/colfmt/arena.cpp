@@ -20,11 +20,9 @@ Str StringArena::intern(std::string_view s) {
   const std::size_t hash = ViewHash{}(s);
   Shard& shard = shards_[hash % kShardCount];
   std::lock_guard<std::mutex> lock(shard.mu);
-  ++shard.stats.lookups;
 
   const auto it = shard.set.find(s);
   if (it != shard.set.end()) {
-    ++shard.stats.hits;
     return Str(it->data(), static_cast<std::uint32_t>(it->size()));
   }
 
@@ -37,7 +35,6 @@ Str StringArena::intern(std::string_view s) {
     shard.chunks.push_back(std::make_unique<char[]>(chunk));
     shard.cursor = shard.chunks.back().get();
     shard.remaining = chunk;
-    shard.stats.chunk_bytes += chunk;
   }
   char* dst = shard.cursor;
   std::memcpy(dst, s.data(), s.size());
@@ -46,22 +43,7 @@ Str StringArena::intern(std::string_view s) {
   shard.remaining -= need;
 
   shard.set.insert(std::string_view(dst, s.size()));
-  ++shard.stats.strings;
-  shard.stats.bytes += s.size();
   return Str(dst, static_cast<std::uint32_t>(s.size()));
-}
-
-StringArena::Stats StringArena::stats() const {
-  Stats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.strings += shard.stats.strings;
-    total.bytes += shard.stats.bytes;
-    total.chunk_bytes += shard.stats.chunk_bytes;
-    total.lookups += shard.stats.lookups;
-    total.hits += shard.stats.hits;
-  }
-  return total;
 }
 
 }  // namespace mtlscope::colfmt

@@ -13,7 +13,7 @@ using wire::dict_at;
 using wire::read_dict;
 
 SslBlockScan::SslBlockScan(std::string_view payload, FrameKind kind,
-                           const SslScanColumns& columns)
+                           const zeek::SslColumns& columns)
     : columns_(columns), delta_ts_(kind == FrameKind::kSslBlockDelta) {
   Cursor c(payload);
   rows_ = c.u32();
@@ -89,7 +89,7 @@ std::uint32_t SslBlockScan::next(zeek::SslRecord& rec) {
 }
 
 SslBlockScan ContainerReader::scan_ssl_block(
-    const FrameRef& block, const SslScanColumns& columns) const {
+    const FrameRef& block, const zeek::SslColumns& columns) const {
   return SslBlockScan(payload(block), block.kind, columns);
 }
 

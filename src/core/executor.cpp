@@ -3,6 +3,7 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <utility>
 
@@ -45,7 +46,7 @@ const CertFacts* find_facts(const Pipeline::CertMap& certs,
 /// through later connections, so callers apply this serially in stream
 /// order.
 void upgrade_chain(Pipeline::CertMap& base,
-                   const colfmt::StrVec& fuids) {
+                   std::span<const colfmt::Str> fuids) {
   if (fuids.size() < 2) return;  // no intermediates to inherit from
   const auto leaf_it = base.find(fuids.front());
   if (leaf_it == base.end() ||
@@ -68,6 +69,37 @@ void apply_upgrades(Pipeline::CertMap& base, const zeek::SslRecord& record) {
   upgrade_chain(base, record.cert_chain_fuids);
   upgrade_chain(base, record.client_cert_chain_fuids);
 }
+
+/// The chains of a parsed ssl chunk that upgrade_chain can change, in
+/// stream order: for each established row its server chain, then its
+/// client chain, each kept only with ≥2 fuids. Phase B's workers forward
+/// this rather than the records, so the reorder window holds a few
+/// handles per row instead of whole records.
+struct UpgradeChains {
+  std::vector<colfmt::Str> fuids;  ///< every kept chain, concatenated
+  std::vector<std::size_t> ends;   ///< one past each chain's last fuid
+
+  void add(const zeek::SslRecord& record) {
+    if (!record.established) return;
+    keep(record.cert_chain_fuids);
+    keep(record.client_cert_chain_fuids);
+  }
+
+  void apply(Pipeline::CertMap& base) const {
+    std::size_t begin = 0;
+    for (const std::size_t end : ends) {
+      upgrade_chain(base, std::span(fuids).subspan(begin, end - begin));
+      begin = end;
+    }
+  }
+
+ private:
+  void keep(const colfmt::StrVec& chain) {
+    if (chain.size() < 2) return;
+    fuids.insert(fuids.end(), chain.begin(), chain.end());
+    ends.push_back(fuids.size());
+  }
+};
 
 /// Phase C candidate collection: issuer DN → distinct CT-mismatching SLDs.
 /// Byte-ordered on interned keys, so merge folds iterate identically to
@@ -435,12 +467,15 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
   }
 
   // --- Phase B (streaming): parse ssl chunks in parallel, apply chain
-  // upgrades serially in stream order on the folding thread. This is the
-  // authoritative ssl pass: skip-mode quarantine entries for ssl rows are
-  // recorded here and nowhere else (phases C/D re-parse the same bytes
-  // tolerantly and only bump per-phase counters). ---
+  // upgrades serially in stream order on the folding thread. Workers
+  // parse only the columns upgrades read and forward only the chains
+  // that can upgrade (UpgradeChains). This is the authoritative ssl pass:
+  // skip-mode quarantine entries for ssl rows are recorded here and
+  // nowhere else (phases C/D re-parse the same bytes tolerantly and only
+  // bump per-phase counters); the manifest never changes which rows
+  // parse. ---
   struct SslChunk {
-    std::vector<zeek::SslRecord> records;
+    UpgradeChains chains;
     std::vector<zeek::RowIssue> issues;
     zeek::TolerantStats stats;
   };
@@ -448,27 +483,32 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
   ok = ok && stream_pass<SslChunk>(
                  ssl, ssl_layout, k, options, engine_error,
                  [&](const ingest::Chunk& chunk, SslChunk& out) {
+                   // One record buffer per worker thread, reused across
+                   // chunks.
+                   thread_local std::vector<zeek::SslRecord> records;
+                   records.clear();
                    if (skip) {
                      out.stats = zeek::parse_ssl_records_tolerant(
-                         chunk.view(), ssl_plan, out.records, &out.issues,
-                         ssl_header_lines, chunk.offset);
-                     return true;
+                         chunk.view(), ssl_plan, records, &out.issues,
+                         ssl_header_lines, chunk.offset,
+                         zeek::SslColumns::upgrades());
+                   } else {
+                     zeek::LogParseError parse_error;
+                     if (!zeek::parse_ssl_records(
+                             chunk.view(), ssl_plan, records, &parse_error,
+                             ssl_header_lines,
+                             zeek::SslColumns::upgrades())) {
+                       // failed chunks fold as empty
+                       engine_error.record(ssl.name(), chunk.offset,
+                                           describe_parse_error(parse_error));
+                       return false;
+                     }
                    }
-                   zeek::LogParseError parse_error;
-                   if (!zeek::parse_ssl_records(chunk.view(), ssl_plan,
-                                                out.records, &parse_error,
-                                                ssl_header_lines)) {
-                     out.records.clear();  // failed chunks fold as empty
-                     engine_error.record(ssl.name(), chunk.offset,
-                                         describe_parse_error(parse_error));
-                     return false;
-                   }
+                   for (const auto& record : records) out.chains.add(record);
                    return true;
                  },
                  [&](SslChunk&& r) {
-                   for (const auto& record : r.records) {
-                     apply_upgrades(*base, record);
-                   }
+                   r.chains.apply(*base);
                    if (skip) {
                      led->count_rows_ok(InputRole::kSsl, r.stats.rows_ok);
                      for (auto& issue : r.issues) {
@@ -515,12 +555,13 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
             // quarantined (count only — no new ledger entries).
             const auto stats = zeek::parse_ssl_records_tolerant(
                 chunk.view(), ssl_plan, records, nullptr, ssl_header_lines,
-                chunk.offset);
+                chunk.offset, zeek::SslColumns::pipeline());
             out.rows_bad = stats.rows_bad;
           } else {
             zeek::LogParseError parse_error;
             if (!zeek::parse_ssl_records(chunk.view(), ssl_plan, records,
-                                         &parse_error, ssl_header_lines)) {
+                                         &parse_error, ssl_header_lines,
+                                         zeek::SslColumns::pipeline())) {
               engine_error.record(ssl.name(), chunk.offset,
                                   describe_parse_error(parse_error));
               return false;
@@ -570,12 +611,14 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
                 // below.
                 const auto stats = zeek::parse_ssl_records_tolerant(
                     chunk.view(), ssl_plan, records, nullptr,
-                    ssl_header_lines, chunk.offset);
+                    ssl_header_lines, chunk.offset,
+                    zeek::SslColumns::pipeline());
                 shard_rows_bad[s] += stats.rows_bad;
               } else {
                 zeek::LogParseError parse_error;
                 if (!zeek::parse_ssl_records(chunk.view(), ssl_plan, records,
-                                             &parse_error, ssl_header_lines)) {
+                                             &parse_error, ssl_header_lines,
+                                             zeek::SslColumns::pipeline())) {
                   // Unreachable when phases B/C parsed the same bytes, but
                   // an input changing mid-run must not silently drop rows.
                   engine_error.record(ssl.name(), chunk.offset,
@@ -860,16 +903,11 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
   // read the established flag and the chain fuids, so every other column
   // is pruned (kind-6 blocks skip the ts/uid spans in O(1)). ---
   if (!failed()) {
-    colfmt::SslScanColumns needs;
-    needs.ts = false;
-    needs.uid = false;
-    needs.endpoints = false;
-    needs.version = false;
-    needs.server_name = false;
     zeek::SslRecord rec;
     for (std::size_t i = 0; i < ssl_blocks.size(); ++i) {
       try {
-        auto scan = reader.scan_ssl_block(ssl_blocks[i], needs);
+        auto scan = reader.scan_ssl_block(ssl_blocks[i],
+                                          zeek::SslColumns::upgrades());
         while (!scan.done()) {
           scan.next(rec);
           apply_upgrades(*base, rec);
@@ -901,7 +939,7 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
           for (std::size_t i = begin; i < end; ++i) {
             try {
               auto scan = reader.scan_ssl_block(
-                  ssl_blocks[i], colfmt::SslScanColumns::pipeline());
+                  ssl_blocks[i], zeek::SslColumns::pipeline());
               while (!scan.done()) {
                 scan.next(rec);
                 pipeline.add_connection(rec);

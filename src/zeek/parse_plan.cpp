@@ -5,6 +5,7 @@
 #include "mtlscope/zeek/parse_plan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstring>
 #include <istream>
@@ -65,26 +66,96 @@ void decode_scalar_into(std::string_view raw, std::string& out) {
   unescape_into(raw, out);
 }
 
+/// The per-call intern dictionary: an open-addressing (linear probing)
+/// table from bytes to the global arena's handle for them. Zeek logs
+/// repeat a few thousand distinct addresses, SNIs and fuids across
+/// hundreds of thousands of rows, so nearly every lookup hits here and
+/// never reaches the arena's shard locks, which the parser threads would
+/// otherwise all contend on. A miss interns into StringArena::global(),
+/// so a handle is the same pointer whichever call or thread produced it.
+/// The table is allocated on the first intern and sized from the body's
+/// row estimate: an empty body or a header-only poll allocates nothing.
+class InternDict {
+ public:
+  explicit InternDict(std::size_t rows_hint) : rows_hint_(rows_hint) {}
+
+  colfmt::Str intern(std::string_view s) {
+    // The arena answers "" without locking; an empty Str marks a free
+    // slot here, so "" is never stored.
+    if (s.empty()) return colfmt::StringArena::global().intern(s);
+    if (slots_.empty()) {
+      slots_.resize(std::clamp<std::size_t>(std::bit_ceil(rows_hint_),
+                                            kMinSlots, kMaxInitialSlots));
+    }
+    const std::size_t hash = std::hash<std::string_view>{}(s);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.value.data() == nullptr) break;
+      if (slot.hash == hash && slot.value.view() == s) return slot.value;
+    }
+    const colfmt::Str value = colfmt::StringArena::global().intern(s);
+    if (2 * (used_ + 1) > slots_.size()) grow();
+    place({value, hash});
+    ++used_;
+    return value;
+  }
+
+ private:
+  struct Slot {
+    colfmt::Str value;
+    std::size_t hash = 0;
+  };
+
+  static constexpr std::size_t kMinSlots = 16;
+  // A 1 MiB chunk (~9k rows) holds a few thousand distinct values; the
+  // cap bounds what a large body allocates up front, and growth covers a
+  // body with more.
+  static constexpr std::size_t kMaxInitialSlots = 4096;
+
+  void place(const Slot& entry) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = entry.hash & mask;
+    while (slots_[i].value.data() != nullptr) i = (i + 1) & mask;
+    slots_[i] = entry;
+  }
+
+  /// Doubles the table, keeping the load at most one half.
+  void grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    for (const Slot& entry : old) {
+      if (entry.value.data() != nullptr) place(entry);
+    }
+  }
+
+  std::size_t rows_hint_;
+  std::size_t used_ = 0;
+  std::vector<Slot> slots_;
+};
+
 /// Scalar decode into an interned handle: "-" clears, an escape-free
 /// value interns the raw bytes directly, escapes unescape through a
 /// per-thread scratch first (no allocation in steady state).
-void decode_scalar_into(std::string_view raw, colfmt::Str& out) {
+void decode_scalar_into(std::string_view raw, InternDict& dict,
+                        colfmt::Str& out) {
   if (raw == kUnset) {
     out = colfmt::Str();
     return;
   }
   if (raw.find('\\') == std::string_view::npos) {
-    out = colfmt::StringArena::global().intern(raw);
+    out = dict.intern(raw);
     return;
   }
   thread_local std::string scratch;
   unescape_into(raw, scratch);
-  out = colfmt::StringArena::global().intern(scratch);
+  out = dict.intern(scratch);
 }
 
 /// Set/vector decode: comma-split the raw value (escaped commas arrive
 /// as \x2c, so the raw split is exact), then scalar-decode each element.
-void decode_vector_into(std::string_view raw, colfmt::StrVec& out) {
+void decode_vector_into(std::string_view raw, InternDict& dict,
+                        colfmt::StrVec& out) {
   out.clear();
   if (raw == kUnset || raw == kEmptySet || raw.empty()) return;
   const std::size_t parts =
@@ -99,10 +170,10 @@ void decode_vector_into(std::string_view raw, colfmt::StrVec& out) {
         next == std::string_view::npos ? raw.substr(pos)
                                        : raw.substr(pos, next - pos);
     if (part.find('\\') == std::string_view::npos) {
-      out.push_back(colfmt::StringArena::global().intern(part));
+      out.push_back(dict.intern(part));
     } else {
       unescape_into(part, scratch);
-      out.push_back(colfmt::StringArena::global().intern(scratch));
+      out.push_back(dict.intern(scratch));
     }
     if (next == std::string_view::npos) break;
     pos = next + 1;
@@ -154,9 +225,12 @@ std::string missing_field_message(const char* name) {
 
 /// Fills one SslRecord from a row accessor (`at(slot)` → raw field view).
 /// Shared by the batch fast path and the row-materializing reference
-/// parser, so their per-field semantics cannot drift apart.
+/// parser, so their per-field semantics cannot drift apart. The numeric
+/// fields are validated whatever `columns` asks for, so the rows that
+/// parse (and the errors) never depend on the manifest.
 template <typename FieldAt>
-bool fill_ssl_record(const SslPlan& plan, const FieldAt& at,
+bool fill_ssl_record(const SslPlan& plan, const SslColumns& columns,
+                     InternDict& dict, const FieldAt& at,
                      std::size_t row_index, SslRecord& r,
                      LogParseError* error) {
   const auto ts = decode_time(at(plan.ts));
@@ -166,36 +240,40 @@ bool fill_ssl_record(const SslPlan& plan, const FieldAt& at,
     set_error(error, row_index + 1, "bad numeric field");
     return false;
   }
-  r.ts = *ts;
-  decode_scalar_into(at(plan.uid), r.uid);
-  decode_scalar_into(at(plan.orig_h), r.orig_h);
-  r.orig_p = static_cast<std::uint16_t>(*orig_p);
-  decode_scalar_into(at(plan.resp_h), r.resp_h);
-  r.resp_p = static_cast<std::uint16_t>(*resp_p);
-  if (plan.version != kNoColumn) {
-    decode_scalar_into(at(plan.version), r.version);
+  if (columns.ts) r.ts = *ts;
+  if (columns.uid) decode_scalar_into(at(plan.uid), r.uid);
+  if (columns.endpoints) {
+    decode_scalar_into(at(plan.orig_h), dict, r.orig_h);
+    r.orig_p = static_cast<std::uint16_t>(*orig_p);
+    decode_scalar_into(at(plan.resp_h), dict, r.resp_h);
+    r.resp_p = static_cast<std::uint16_t>(*resp_p);
   }
-  if (plan.server_name != kNoColumn) {
-    decode_scalar_into(at(plan.server_name), r.server_name);
+  if (columns.version && plan.version != kNoColumn) {
+    decode_scalar_into(at(plan.version), dict, r.version);
   }
-  if (plan.established != kNoColumn) {
+  if (columns.server_name && plan.server_name != kNoColumn) {
+    decode_scalar_into(at(plan.server_name), dict, r.server_name);
+  }
+  if (columns.established && plan.established != kNoColumn) {
     r.established = at(plan.established) == "T";
   }
-  if (plan.cert_chain_fuids != kNoColumn) {
-    decode_vector_into(at(plan.cert_chain_fuids), r.cert_chain_fuids);
-  }
-  if (plan.client_cert_chain_fuids != kNoColumn) {
-    decode_vector_into(at(plan.client_cert_chain_fuids),
-                       r.client_cert_chain_fuids);
+  if (columns.chains) {
+    if (plan.cert_chain_fuids != kNoColumn) {
+      decode_vector_into(at(plan.cert_chain_fuids), dict, r.cert_chain_fuids);
+    }
+    if (plan.client_cert_chain_fuids != kNoColumn) {
+      decode_vector_into(at(plan.client_cert_chain_fuids), dict,
+                         r.client_cert_chain_fuids);
+    }
   }
   return true;
 }
 
 template <typename FieldAt>
-bool fill_x509_record(const X509Plan& plan, const FieldAt& at,
-                      std::size_t row_index, X509Record& r,
+bool fill_x509_record(const X509Plan& plan, InternDict& dict,
+                      const FieldAt& at, std::size_t row_index, X509Record& r,
                       LogParseError* error) {
-  decode_scalar_into(at(plan.fuid), r.fuid);
+  decode_scalar_into(at(plan.fuid), dict, r.fuid);
   if (plan.version != kNoColumn) {
     const auto n = decode_int(at(plan.version));
     if (!n) {
@@ -204,11 +282,15 @@ bool fill_x509_record(const X509Plan& plan, const FieldAt& at,
     }
     r.version = *n;
   }
-  if (plan.serial != kNoColumn) decode_scalar_into(at(plan.serial), r.serial);
-  if (plan.subject != kNoColumn) {
-    decode_scalar_into(at(plan.subject), r.subject);
+  if (plan.serial != kNoColumn) {
+    decode_scalar_into(at(plan.serial), dict, r.serial);
   }
-  if (plan.issuer != kNoColumn) decode_scalar_into(at(plan.issuer), r.issuer);
+  if (plan.subject != kNoColumn) {
+    decode_scalar_into(at(plan.subject), dict, r.subject);
+  }
+  if (plan.issuer != kNoColumn) {
+    decode_scalar_into(at(plan.issuer), dict, r.issuer);
+  }
   if (plan.not_valid_before != kNoColumn) {
     const auto t = decode_time(at(plan.not_valid_before));
     if (!t) {
@@ -226,7 +308,7 @@ bool fill_x509_record(const X509Plan& plan, const FieldAt& at,
     r.not_valid_after = *t;
   }
   if (plan.key_alg != kNoColumn) {
-    decode_scalar_into(at(plan.key_alg), r.key_alg);
+    decode_scalar_into(at(plan.key_alg), dict, r.key_alg);
   }
   if (plan.key_length != kNoColumn) {
     const auto n = decode_int(at(plan.key_length));
@@ -237,15 +319,17 @@ bool fill_x509_record(const X509Plan& plan, const FieldAt& at,
     r.key_length = *n;
   }
   if (plan.san_dns != kNoColumn) {
-    decode_vector_into(at(plan.san_dns), r.san_dns);
+    decode_vector_into(at(plan.san_dns), dict, r.san_dns);
   }
   if (plan.san_email != kNoColumn) {
-    decode_vector_into(at(plan.san_email), r.san_email);
+    decode_vector_into(at(plan.san_email), dict, r.san_email);
   }
   if (plan.san_uri != kNoColumn) {
-    decode_vector_into(at(plan.san_uri), r.san_uri);
+    decode_vector_into(at(plan.san_uri), dict, r.san_uri);
   }
-  if (plan.san_ip != kNoColumn) decode_vector_into(at(plan.san_ip), r.san_ip);
+  if (plan.san_ip != kNoColumn) {
+    decode_vector_into(at(plan.san_ip), dict, r.san_ip);
+  }
   if (plan.cert_der != kNoColumn) {
     decode_der_into(at(plan.cert_der), r.cert_der);
   }
@@ -638,30 +722,35 @@ std::string_view decode_field(std::string_view raw, std::string& storage) {
 
 bool parse_ssl_records(std::string_view body, const SslPlan& plan,
                        std::vector<SslRecord>& out, LogParseError* error,
-                       std::size_t header_lines) {
-  out.reserve(out.size() + estimate_rows(body));
+                       std::size_t header_lines, const SslColumns& columns) {
+  const std::size_t rows = estimate_rows(body);
+  out.reserve(out.size() + rows);
+  InternDict dict(rows);
   return parse_records(
       body, plan, error, header_lines,
-      [&out](const SslPlan& active, const std::string_view* fields,
-             std::size_t row_index, LogParseError* err) {
+      [&](const SslPlan& active, const std::string_view* fields,
+          std::size_t row_index, LogParseError* err) {
         SslRecord& r = out.emplace_back();
         return fill_ssl_record(
-            active, [fields](std::size_t slot) { return fields[slot]; },
-            row_index, r, err);
+            active, columns, dict,
+            [fields](std::size_t slot) { return fields[slot]; }, row_index, r,
+            err);
       });
 }
 
 bool parse_x509_records(std::string_view body, const X509Plan& plan,
                         std::vector<X509Record>& out, LogParseError* error,
                         std::size_t header_lines) {
-  out.reserve(out.size() + estimate_rows(body));
+  const std::size_t rows = estimate_rows(body);
+  out.reserve(out.size() + rows);
+  InternDict dict(rows);
   return parse_records(
       body, plan, error, header_lines,
-      [&out](const X509Plan& active, const std::string_view* fields,
-             std::size_t row_index, LogParseError* err) {
+      [&](const X509Plan& active, const std::string_view* fields,
+          std::size_t row_index, LogParseError* err) {
         X509Record& r = out.emplace_back();
         return fill_x509_record(
-            active, [fields](std::size_t slot) { return fields[slot]; },
+            active, dict, [fields](std::size_t slot) { return fields[slot]; },
             row_index, r, err);
       });
 }
@@ -680,20 +769,21 @@ std::string quarantine_digest(std::string_view raw) {
   return out;
 }
 
-TolerantStats parse_ssl_records_tolerant(std::string_view body,
-                                         const SslPlan& plan,
-                                         std::vector<SslRecord>& out,
-                                         std::vector<RowIssue>* issues,
-                                         std::size_t header_lines,
-                                         std::size_t base_offset) {
-  out.reserve(out.size() + estimate_rows(body));
+TolerantStats parse_ssl_records_tolerant(
+    std::string_view body, const SslPlan& plan, std::vector<SslRecord>& out,
+    std::vector<RowIssue>* issues, std::size_t header_lines,
+    std::size_t base_offset, const SslColumns& columns) {
+  const std::size_t rows = estimate_rows(body);
+  out.reserve(out.size() + rows);
+  InternDict dict(rows);
   return parse_records_tolerant(
       body, plan, issues, header_lines, base_offset,
-      [&out](const SslPlan& active, const std::string_view* fields,
-             std::size_t row_index, LogParseError* err) {
+      [&](const SslPlan& active, const std::string_view* fields,
+          std::size_t row_index, LogParseError* err) {
         SslRecord& r = out.emplace_back();
         if (fill_ssl_record(
-                active, [fields](std::size_t slot) { return fields[slot]; },
+                active, columns, dict,
+                [fields](std::size_t slot) { return fields[slot]; },
                 row_index, r, err)) {
           return true;
         }
@@ -708,14 +798,17 @@ TolerantStats parse_x509_records_tolerant(std::string_view body,
                                           std::vector<RowIssue>* issues,
                                           std::size_t header_lines,
                                           std::size_t base_offset) {
-  out.reserve(out.size() + estimate_rows(body));
+  const std::size_t rows = estimate_rows(body);
+  out.reserve(out.size() + rows);
+  InternDict dict(rows);
   return parse_records_tolerant(
       body, plan, issues, header_lines, base_offset,
-      [&out](const X509Plan& active, const std::string_view* fields,
-             std::size_t row_index, LogParseError* err) {
+      [&](const X509Plan& active, const std::string_view* fields,
+          std::size_t row_index, LogParseError* err) {
         X509Record& r = out.emplace_back();
         if (fill_x509_record(
-                active, [fields](std::size_t slot) { return fields[slot]; },
+                active, dict,
+                [fields](std::size_t slot) { return fields[slot]; },
                 row_index, r, err)) {
           return true;
         }
@@ -767,11 +860,12 @@ std::optional<std::vector<SslRecord>> parse_ssl_log_reference(
   }
   std::vector<SslRecord> out;
   out.reserve(raw->rows.size());
+  InternDict dict(raw->rows.size());
   for (std::size_t i = 0; i < raw->rows.size(); ++i) {
     const auto& row = raw->rows[i];
     SslRecord& r = out.emplace_back();
     if (!fill_ssl_record(
-            plan,
+            plan, SslColumns::all(), dict,
             [&row](std::size_t slot) { return std::string_view(row[slot]); },
             i, r, error)) {
       return std::nullopt;
@@ -791,11 +885,12 @@ std::optional<std::vector<X509Record>> parse_x509_log_reference(
   }
   std::vector<X509Record> out;
   out.reserve(raw->rows.size());
+  InternDict dict(raw->rows.size());
   for (std::size_t i = 0; i < raw->rows.size(); ++i) {
     const auto& row = raw->rows[i];
     X509Record& r = out.emplace_back();
     if (!fill_x509_record(
-            plan,
+            plan, dict,
             [&row](std::size_t slot) { return std::string_view(row[slot]); },
             i, r, error)) {
       return std::nullopt;

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -178,7 +179,12 @@ TEST_F(ColfmtTest, ArenaInternsOnePointerPerValueAcrossThreads) {
           << "value " << v << " thread " << t;
     }
   }
-  EXPECT_EQ(arena.stats().strings, static_cast<std::uint64_t>(kValues));
+  // One storage per distinct value across every thread's handles.
+  std::set<const char*> storage;
+  for (const auto& mine : per_thread) {
+    for (const colfmt::Str& s : mine) storage.insert(s.data());
+  }
+  EXPECT_EQ(storage.size(), static_cast<std::size_t>(kValues));
 }
 
 TEST_F(ColfmtTest, ArenaKeepsEmbeddedNulsAndHugeValues) {

@@ -1,7 +1,9 @@
 // Parity and property tests for the compiled-plan Zeek parsers: the
 // zero-copy batch fast path (parse_ssl_records / parse_x509_records)
-// against the row-materializing reference parsers, plus the tokenizer's
-// allocation-free guarantee and the schema-plan compiler.
+// against the row-materializing reference parsers, the column manifest
+// against the full parse, the per-call intern dictionary against the
+// global arena, concurrent chunk parses against the serial parse, plus
+// the tokenizer's allocation-free guarantee and the schema-plan compiler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +14,10 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
+#include "mtlscope/colfmt/arena.hpp"
 #include "mtlscope/zeek/log_io.hpp"
 #include "mtlscope/zeek/parse_plan.hpp"
 
@@ -271,6 +275,291 @@ TEST(ZeekParseParity, ChunkBoundarySplitsReproduceTheSerialParse) {
       expect_equal(split[i], whole[i], i);
     }
   }
+}
+
+// --- column manifest --------------------------------------------------------
+
+/// Every field `columns` requests equals the full parse's; every other
+/// field keeps its default.
+void expect_requested_equal(const zeek::SslRecord& full,
+                            const zeek::SslRecord& got,
+                            const zeek::SslColumns& columns, std::size_t row) {
+  const zeek::SslRecord none;
+  const auto& want = [&](bool requested) -> const zeek::SslRecord& {
+    return requested ? full : none;
+  };
+  EXPECT_EQ(got.ts, want(columns.ts).ts) << "row " << row;
+  EXPECT_EQ(got.uid, want(columns.uid).uid) << "row " << row;
+  EXPECT_EQ(got.orig_h, want(columns.endpoints).orig_h) << "row " << row;
+  EXPECT_EQ(got.orig_p, want(columns.endpoints).orig_p) << "row " << row;
+  EXPECT_EQ(got.resp_h, want(columns.endpoints).resp_h) << "row " << row;
+  EXPECT_EQ(got.resp_p, want(columns.endpoints).resp_p) << "row " << row;
+  EXPECT_EQ(got.version, want(columns.version).version) << "row " << row;
+  EXPECT_EQ(got.server_name, want(columns.server_name).server_name)
+      << "row " << row;
+  EXPECT_EQ(got.established, want(columns.established).established)
+      << "row " << row;
+  EXPECT_EQ(got.cert_chain_fuids, want(columns.chains).cert_chain_fuids)
+      << "row " << row;
+  EXPECT_EQ(got.client_cert_chain_fuids,
+            want(columns.chains).client_cert_chain_fuids)
+      << "row " << row;
+}
+
+/// Rewrites some data rows of `body` into malformed ones: a bad numeric
+/// in a required numeric column, or a missing last field.
+std::string with_bad_rows(const std::string& header, const std::string& body,
+                          std::mt19937& rng) {
+  const auto columns = zeek::ColumnPlan::from_header(header);
+  const std::size_t numeric[] = {columns.index_of("ts"),
+                                 columns.index_of("id.orig_p"),
+                                 columns.index_of("id.resp_p")};
+  std::string out;
+  std::size_t row = 0;
+  std::size_t pos = 0;
+  while (pos < body.size()) {
+    const std::size_t nl = body.find('\n', pos);
+    std::string line = body.substr(pos, nl - pos);
+    pos = nl == std::string::npos ? body.size() : nl + 1;
+    if (!line.empty() && line.front() != '#' && ++row % 5 == 0) {
+      if (row % 10 == 0) {
+        line.erase(line.rfind('\t'));  // field count mismatch
+      } else {
+        // Replace one numeric field's value with a non-number.
+        const std::size_t target = numeric[rng() % 3];
+        std::size_t begin = 0;
+        for (std::size_t i = 0; i < target; ++i) {
+          begin = line.find('\t', begin) + 1;
+        }
+        const std::size_t end = line.find('\t', begin);
+        line.replace(begin, end == std::string::npos ? end : end - begin,
+                     "12x");
+      }
+    }
+    out += line + "\n";
+  }
+  return out;
+}
+
+const zeek::SslColumns kManifests[] = {zeek::SslColumns::all(),
+                                       zeek::SslColumns::pipeline(),
+                                       zeek::SslColumns::upgrades()};
+
+TEST(ZeekParseManifest, StrictErrorsAndFieldsMatchTheFullParse) {
+  std::mt19937 rng(20250117);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto log = generate_log(ssl_columns(), ssl_field_kind, 30, rng,
+                                  /*crlf=*/trial % 4 == 0);
+    const zeek::SslPlan plan =
+        zeek::SslPlan::compile(zeek::ColumnPlan::from_header(log.header));
+    // Odd trials carry malformed rows: the strict parse stops at the
+    // first, and must stop there with the same error under any manifest.
+    const std::string body =
+        trial % 2 == 0 ? log.body : with_bad_rows(log.header, log.body, rng);
+    std::vector<zeek::SslRecord> full;
+    zeek::LogParseError full_error;
+    const bool full_ok =
+        zeek::parse_ssl_records(body, plan, full, &full_error, 3);
+    ASSERT_EQ(full_ok, trial % 2 == 0) << "trial " << trial;
+    for (const auto& columns : kManifests) {
+      std::vector<zeek::SslRecord> got;
+      zeek::LogParseError error;
+      EXPECT_EQ(zeek::parse_ssl_records(body, plan, got, &error, 3, columns),
+                full_ok)
+          << "trial " << trial;
+      EXPECT_EQ(error.line, full_error.line) << "trial " << trial;
+      EXPECT_EQ(error.message, full_error.message) << "trial " << trial;
+      if (!full_ok) continue;  // `out` is unspecified after a failure
+      ASSERT_EQ(got.size(), full.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_requested_equal(full[i], got[i], columns, i);
+      }
+    }
+  }
+}
+
+TEST(ZeekParseManifest, TolerantQuarantineAndFieldsMatchTheFullParse) {
+  std::mt19937 rng(20250118);
+  for (int trial = 0; trial < 20; ++trial) {
+    const auto log = generate_log(ssl_columns(), ssl_field_kind, 40, rng,
+                                  /*crlf=*/trial % 3 == 0);
+    const zeek::SslPlan plan =
+        zeek::SslPlan::compile(zeek::ColumnPlan::from_header(log.header));
+    const std::string body = with_bad_rows(log.header, log.body, rng);
+    std::vector<zeek::SslRecord> full;
+    std::vector<zeek::RowIssue> full_issues;
+    const auto full_stats = zeek::parse_ssl_records_tolerant(
+        body, plan, full, &full_issues, 3, 1000);
+    ASSERT_GT(full_stats.rows_bad, 0u);
+    for (const auto& columns : kManifests) {
+      std::vector<zeek::SslRecord> got;
+      std::vector<zeek::RowIssue> issues;
+      const auto stats = zeek::parse_ssl_records_tolerant(
+          body, plan, got, &issues, 3, 1000, columns);
+      EXPECT_EQ(stats.rows_ok, full_stats.rows_ok) << "trial " << trial;
+      EXPECT_EQ(stats.rows_bad, full_stats.rows_bad) << "trial " << trial;
+      EXPECT_EQ(stats.lines, full_stats.lines) << "trial " << trial;
+      ASSERT_EQ(issues.size(), full_issues.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < issues.size(); ++i) {
+        EXPECT_EQ(issues[i].line, full_issues[i].line);
+        EXPECT_EQ(issues[i].byte_offset, full_issues[i].byte_offset);
+        EXPECT_EQ(issues[i].raw_length, full_issues[i].raw_length);
+        EXPECT_EQ(issues[i].reason, full_issues[i].reason);
+        EXPECT_EQ(issues[i].digest, full_issues[i].digest);
+      }
+      ASSERT_EQ(got.size(), full.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        expect_requested_equal(full[i], got[i], columns, i);
+      }
+    }
+  }
+}
+
+// --- intern dictionary -----------------------------------------------------
+
+/// The handle the global arena gives for `bytes`: what every parsed Str
+/// must be, pointer for pointer.
+const char* arena_pointer(std::string_view bytes) {
+  return colfmt::StringArena::global().intern(bytes).data();
+}
+
+void expect_arena_handle(const colfmt::Str& got, std::string_view want) {
+  EXPECT_EQ(got.view(), want);
+  if (!want.empty()) {
+    EXPECT_EQ(got.data(), arena_pointer(want)) << "not the arena's handle";
+  }
+}
+
+TEST(ZeekParseDictionary, HandlesAreTheGlobalArenasPointers) {
+  // Every row brings fresh addresses, an SNI and a two-fuid chain, so the
+  // body holds several times more distinct strings than rows: far more
+  // than the table's initial size (about one slot per row, kept at most
+  // half full), so it must grow. Every fourth row repeats row 0's values,
+  // exercising lookups that hit.
+  constexpr std::size_t kRows = 300;
+  std::string body;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::size_t v = i % 4 == 0 ? 0 : i;
+    const std::string n = std::to_string(v);
+    body += "1.0\tC" + std::to_string(i) + "\t10.9." + n + "\t1\t10.8." + n +
+            "\t443\t" + (i % 3 == 0 ? "-" : "TLSv1\\x2e" + n) +
+            "\tsni\\x09" + n + ".test\tT\tFleaf" + n + ",Fmid" + n + "\t" +
+            (i % 2 == 0 ? "(empty)" : "Fcli" + n) + "\n";
+  }
+  const zeek::SslPlan plan = zeek::SslPlan::compile(
+      zeek::ColumnPlan::from_fields_payload(
+          "ts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tversion"
+          "\tserver_name\testablished\tcert_chain_fuids"
+          "\tclient_cert_chain_fuids"));
+  std::vector<zeek::SslRecord> out;
+  ASSERT_TRUE(zeek::parse_ssl_records(body, plan, out));
+  ASSERT_EQ(out.size(), kRows);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    const std::size_t v = i % 4 == 0 ? 0 : i;
+    const std::string n = std::to_string(v);
+    const auto& r = out[i];
+    expect_arena_handle(r.orig_h, "10.9." + n);
+    expect_arena_handle(r.resp_h, "10.8." + n);
+    expect_arena_handle(r.version, i % 3 == 0 ? "" : "TLSv1." + n);
+    expect_arena_handle(r.server_name, "sni\t" + n + ".test");
+    ASSERT_EQ(r.cert_chain_fuids.size(), 2u);
+    expect_arena_handle(r.cert_chain_fuids[0], "Fleaf" + n);
+    expect_arena_handle(r.cert_chain_fuids[1], "Fmid" + n);
+    if (i % 2 == 0) {
+      EXPECT_TRUE(r.client_cert_chain_fuids.empty());
+    } else {
+      ASSERT_EQ(r.client_cert_chain_fuids.size(), 1u);
+      expect_arena_handle(r.client_cert_chain_fuids[0], "Fcli" + n);
+    }
+  }
+
+  // x509 rows go through the same dictionary: escaped DNs, a literal
+  // "(empty)" scalar and an unset serial.
+  const std::string x509_body =
+      "Fa\tCN=a\\x2cO=x\t(empty)\t-\n"
+      "Fb\tCN=a\\x2cO=x\tCN=root\tAB01\n";
+  const zeek::X509Plan x509_plan = zeek::X509Plan::compile(
+      zeek::ColumnPlan::from_fields_payload(
+          "fuid\tcertificate.subject\tcertificate.issuer"
+          "\tcertificate.serial"));
+  std::vector<zeek::X509Record> certs;
+  ASSERT_TRUE(zeek::parse_x509_records(x509_body, x509_plan, certs));
+  ASSERT_EQ(certs.size(), 2u);
+  expect_arena_handle(certs[0].fuid, "Fa");
+  expect_arena_handle(certs[0].subject, "CN=a,O=x");
+  expect_arena_handle(certs[0].issuer, "(empty)");
+  expect_arena_handle(certs[0].serial, "");
+  expect_arena_handle(certs[1].subject, "CN=a,O=x");
+  expect_arena_handle(certs[1].issuer, "CN=root");
+  expect_arena_handle(certs[1].serial, "AB01");
+}
+
+// --- concurrent chunk parses -----------------------------------------------
+
+TEST(ZeekParseConcurrency, FourThreadsOnDisjointQuartersMatchTheSerialParse) {
+  // Parsers on four threads each own a dictionary but share the global
+  // arena; their handles must be the very pointers the serial parse got.
+  std::mt19937 rng(20250119);
+  std::string body;
+  constexpr std::size_t kRows = 4000;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    // A small repeated pool plus a fresh value per row, so the threads
+    // both hit their dictionaries and race on arena misses.
+    const std::string pool = std::to_string(rng() % 50);
+    const std::string fresh = std::to_string(i);
+    body += std::to_string(1700000000 + i) + ".5\tC" + fresh + "\t10.0.0." +
+            pool + "\t" + std::to_string(1000 + i % 60000) + "\t192.0.2." +
+            fresh + "\t443\tTLSv12\thost" + pool + ".test\t" +
+            (i % 7 == 0 ? "F" : "T") + "\tFleaf" + fresh + ",Fca" + pool +
+            "\t" + (i % 3 == 0 ? "Fcli" + pool : std::string("-")) + "\n";
+  }
+  const zeek::SslPlan plan = zeek::SslPlan::compile(
+      zeek::ColumnPlan::from_fields_payload(
+          "ts\tuid\tid.orig_h\tid.orig_p\tid.resp_h\tid.resp_p\tversion"
+          "\tserver_name\testablished\tcert_chain_fuids"
+          "\tclient_cert_chain_fuids"));
+
+  // Record-aligned quarters: each cut sits just after a newline.
+  std::vector<std::size_t> cuts = {0};
+  for (std::size_t q = 1; q < 4; ++q) {
+    cuts.push_back(body.find('\n', body.size() * q / 4) + 1);
+  }
+  cuts.push_back(body.size());
+  const std::string_view view(body);
+  std::vector<std::vector<zeek::SslRecord>> parts(4);
+  std::vector<zeek::TolerantStats> stats(4);
+  std::vector<std::thread> threads;
+  for (std::size_t q = 0; q < 4; ++q) {
+    threads.emplace_back([&, q] {
+      stats[q] = zeek::parse_ssl_records_tolerant(
+          view.substr(cuts[q], cuts[q + 1] - cuts[q]), plan, parts[q],
+          nullptr);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::vector<zeek::SslRecord> serial;
+  ASSERT_TRUE(zeek::parse_ssl_records(body, plan, serial));
+  ASSERT_EQ(serial.size(), kRows);
+  std::size_t row = 0;
+  for (std::size_t q = 0; q < 4; ++q) {
+    EXPECT_EQ(stats[q].rows_bad, 0u);
+    EXPECT_EQ(stats[q].rows_ok, parts[q].size());
+    for (const auto& got : parts[q]) {
+      ASSERT_LT(row, serial.size());
+      const auto& want = serial[row];
+      expect_equal(got, want, row);
+      EXPECT_EQ(got.orig_h.data(), want.orig_h.data()) << "row " << row;
+      EXPECT_EQ(got.resp_h.data(), want.resp_h.data()) << "row " << row;
+      EXPECT_EQ(got.server_name.data(), want.server_name.data())
+          << "row " << row;
+      EXPECT_EQ(got.cert_chain_fuids[0].data(),
+                want.cert_chain_fuids[0].data())
+          << "row " << row;
+      ++row;
+    }
+  }
+  EXPECT_EQ(row, serial.size());
 }
 
 // --- exact decode semantics ------------------------------------------------
