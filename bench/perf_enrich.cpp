@@ -1,14 +1,12 @@
-// Enrichment-memoization and scan-strategy benches (DESIGN §15). Two
-// comparisons, each read off adjacent rows of one BENCH file:
+// Enrichment-memoization benches (DESIGN §15):
 //
 //   * cold vs memoized enrichment — certificate facts recomputed from
 //     DER every pass (fresh Enricher) against the DER-pointer-keyed
 //     facts cache answering repeat passes, and per-connection
 //     host/address classification with the per-run EnrichCache cleared
-//     each pass against kept warm;
-//   * row vs columnar container scan — the same end-to-end pipeline run
-//     (BM_CompactFullRun shape) forced through the materializing row
-//     decode and through the zero-materialization columnar scan.
+//     each pass against kept warm, read off adjacent rows;
+//   * the end-to-end container run (BM_CompactFullRun shape) through the
+//     columnar scan, at 1 and 4 threads.
 //
 // Default scale matches perf_compact (~100 MB ssl.log, ~900k records);
 // override with MTLSCOPE_ENRICH_BENCH_CONN=<conn_scale> for quick runs.
@@ -154,9 +152,8 @@ void BM_ConnEnrichMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_ConnEnrichMemoized)->Unit(benchmark::kMillisecond);
 
-/// End-to-end container runs with the scan strategy pinned; the
-/// rows/columnar ratio is the headline zero-materialization figure.
-void full_run(benchmark::State& state, core::ScanMode scan) {
+/// End-to-end container run: open, columnar scan, phases A–E.
+void BM_FullRunColumnarScan(benchmark::State& state) {
   const auto& logs = fixture();
   if (!logs.error.empty()) {
     state.SkipWithError(logs.error.c_str());
@@ -173,7 +170,6 @@ void full_run(benchmark::State& state, core::ScanMode scan) {
     }
     core::PipelineExecutor executor(core::PipelineConfig::campus_defaults(),
                                     static_cast<std::size_t>(state.range(0)));
-    executor.set_scan_mode(scan);
     ingest::IngestError ingest_error;
     const auto result = executor.run_container(*reader, &ingest_error);
     if (!result) {
@@ -187,20 +183,8 @@ void full_run(benchmark::State& state, core::ScanMode scan) {
       static_cast<std::int64_t>(logs.tsv_bytes * state.iterations()));
 }
 
-void BM_FullRunRowScan(benchmark::State& state) {
-  full_run(state, core::ScanMode::kRows);
-}
 // UseRealTime: the executor runs worker threads; wall clock is the
 // honest denominator.
-BENCHMARK(BM_FullRunRowScan)
-    ->Arg(1)
-    ->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FullRunColumnarScan(benchmark::State& state) {
-  full_run(state, core::ScanMode::kColumnar);
-}
 BENCHMARK(BM_FullRunColumnarScan)
     ->Arg(1)
     ->Arg(4)

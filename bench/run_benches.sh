@@ -4,11 +4,11 @@
 # reproducible): the Zeek-parsing microbench to BENCH_parse.json, the
 # shard-state serialization bench to BENCH_state.json, the watch
 # tail/checkpoint bench to BENCH_watch.json, the compact-container
-# ingest bench to BENCH_compact.json, the enrichment-memoization /
-# scan-strategy bench to BENCH_enrich.json, and the durable write-path
-# bench to BENCH_chaos.json. Afterwards it runs the extended multi-seed
-# chaos sweep (`ctest -C chaos -L chaos`), which the default ctest run
-# skips.
+# ingest bench to BENCH_compact.json, the enrichment-memoization and
+# end-to-end container-run bench to BENCH_enrich.json, and the durable
+# write-path bench to BENCH_chaos.json. Afterwards it runs the extended
+# multi-seed chaos sweep (`ctest -C chaos -L chaos`), which the default
+# ctest run skips.
 #
 #   bench/run_benches.sh [BUILD_DIR] [PARSE_OUT] [STATE_OUT] [WATCH_OUT] \
 #                        [COMPACT_OUT] [ENRICH_OUT] [CHAOS_OUT]

@@ -29,7 +29,7 @@
 //   E  merge: shard registries, totals, and analyzer states fold into one
 //      Pipeline in shard order; finalize() flags interception certs.
 //
-// Two input paths drive the same phases:
+// Three input paths drive the same phases:
 //   * in-memory (run / run_logs): records or log text already resident;
 //   * streaming (run_log_files / run_sources): logs stay on disk. Each
 //     pre-pass is queue-fed — one reader thread cuts the mmap'd file into
@@ -43,7 +43,9 @@
 //     its own chunk dictionary, so the workers meet on the global
 //     StringArena's locks only for a chunk's first sight of a value. Peak resident memory is O(chunk_bytes × (queue_depth + K))
 //     plus the certificate registry — never O(file size) — and the output
-//     is byte-identical to the in-memory path.
+//     is byte-identical to the in-memory path;
+//   * container (run_container): phases B, C and D scan the .mtlc ssl
+//     blocks column-direct, contiguous block ranges per shard.
 #pragma once
 
 #include <cstddef>
@@ -67,22 +69,6 @@ class ContainerReader;
 }
 
 namespace mtlscope::core {
-
-/// Input-scan strategy for container runs (DESIGN §15):
-///  * kRows     — decode every block into record vectors, then run the
-///                in-memory phases (the historical path);
-///  * kColumnar — zero-materialization: phase B/D walk the packed block
-///                columns in place through colfmt::SslBlockScan, feeding
-///                one reused record per row and pruning columns with the
-///                same zeek::SslColumns manifests the TSV path parses
-///                with (upgrades() for B, pipeline() for D);
-///  * kAuto     — columnar when eligible, rows otherwise.
-/// The columnar path requires no CT database (phase C re-streams full
-/// records); a forced kColumnar run with CT configured falls back to
-/// rows. Results are byte-identical across modes by construction: both
-/// feed the same records through the same phases in the same stream
-/// order, partitioned contiguously.
-enum class ScanMode { kAuto, kRows, kColumnar };
 
 class PipelineExecutor {
  public:
@@ -152,10 +138,12 @@ class PipelineExecutor {
                                       const ingest::IngestOptions& options = {},
                                       ErrorLedger* ledger = nullptr);
 
-  /// Compact-container entry (DESIGN §14): decodes the container's
-  /// blocks in parallel (each block carries its own dictionary, so K
-  /// workers decode K blocks independently), rebuilds the exact record
-  /// streams, and runs the in-memory phases over them — byte-identical
+  /// Compact-container entry (DESIGN §14, §15): phase A decodes the x509
+  /// blocks in parallel (each block carries its own dictionary); phases
+  /// B, C and D scan the ssl blocks through colfmt::SslBlockScan into one
+  /// reused record per worker, never materializing the record vectors.
+  /// Columns are pruned with the zeek::SslColumns manifests the TSV path
+  /// parses with (upgrades() for B, pipeline() for C and D). Byte-identical
   /// to a TSV run over the logs the container was converted from, for
   /// any thread count. The conversion-time ledger stored in the
   /// container is restored: abort mode fails on the first quarantined
@@ -168,15 +156,11 @@ class PipelineExecutor {
 
   const PipelineConfig& config() const;
 
-  void set_scan_mode(ScanMode mode) { scan_mode_ = mode; }
-  ScanMode scan_mode() const { return scan_mode_; }
-
-  /// Cache effectiveness and scan choice of the most recent completed
-  /// run — the JSON perf envelope's `enrich` block. `facts_*` count the
-  /// Enricher's DER-keyed certificate memo; `enrich_*` sum the per-shard
+  /// Cache effectiveness of the most recent completed run — the JSON
+  /// perf envelope's `enrich` block. `facts_*` count the Enricher's
+  /// DER-keyed certificate memo; `enrich_*` sum the per-shard
   /// host/address memos (EnrichCache) after the shard merge.
   struct RunStats {
-    const char* scan = "rows";  ///< which scan drove phase D
     std::uint64_t facts_hits = 0;
     std::uint64_t facts_misses = 0;
     std::uint64_t facts_unique = 0;
@@ -208,19 +192,11 @@ class PipelineExecutor {
   /// K prepared-mode pipelines, each with its per-shard observers wired.
   std::vector<Pipeline> make_shards(const Pipeline::Prepared& prepared);
 
-  /// The zero-materialization container path (DESIGN §15): phase A
-  /// decodes x509 blocks in parallel; phases B and D scan the ssl blocks
-  /// column-direct, never materializing the record vectors.
-  std::optional<Pipeline> run_container_columnar(
-      const colfmt::ContainerReader& reader, ingest::IngestError* error);
-
-  void note_run_stats(const Enricher& enricher, const Pipeline& merged,
-                      const char* scan);
+  void note_run_stats(const Enricher& enricher, const Pipeline& merged);
 
   PipelineConfig config_;
   std::size_t threads_;
   std::vector<ObserverFactory> factories_;
-  ScanMode scan_mode_ = ScanMode::kAuto;
   RunStats stats_;
 };
 

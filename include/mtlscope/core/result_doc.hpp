@@ -197,12 +197,12 @@ struct RunInfo {
   /// under --stable-output, since its fields are pure functions of the
   /// input bytes.
   DataQualityInfo data_quality;
-  /// Enrichment-cache effectiveness and scan choice (DESIGN §15).
-  /// Volatile (perf envelope only, suppressed by --stable-output): the
-  /// counters depend on thread count and shard boundaries even though
-  /// the results never do. `scan` is empty when no executor run backed
-  /// this doc (reduce mode, self-driving experiments).
-  std::string scan;  // "columnar" or "rows"
+  /// Enrichment-cache effectiveness (DESIGN §15). Volatile (perf
+  /// envelope only, suppressed by --stable-output): the counters depend
+  /// on thread count and shard boundaries even though the results never
+  /// do. `enrich_present` is false when no executor run backed this doc
+  /// (reduce mode, self-driving experiments).
+  bool enrich_present = false;
   std::uint64_t facts_cache_hits = 0;
   std::uint64_t facts_cache_misses = 0;
   std::uint64_t facts_cache_unique = 0;

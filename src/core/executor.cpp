@@ -252,12 +252,11 @@ void PipelineExecutor::add_observer_factory(ObserverFactory factory) {
 const PipelineConfig& PipelineExecutor::config() const { return config_; }
 
 void PipelineExecutor::note_run_stats(const Enricher& enricher,
-                                      const Pipeline& merged,
-                                      const char* scan) {
+                                      const Pipeline& merged) {
   const auto facts = enricher.facts_cache_stats();
   const EnrichCache& cache = merged.enrich_cache();
-  stats_ = RunStats{scan,        facts.hits,   facts.misses, facts.unique,
-                    cache.hits,  cache.misses, cache.unique()};
+  stats_ = RunStats{facts.hits, facts.misses, facts.unique,
+                    cache.hits, cache.misses, cache.unique()};
 }
 
 std::vector<Pipeline> PipelineExecutor::make_shards(
@@ -357,7 +356,7 @@ Pipeline PipelineExecutor::run(const std::vector<zeek::SslRecord>& ssl,
   result.set_interception_issuers(*confirmed);
   result.backfill_certificates(*base);
   result.finalize();
-  note_run_stats(*enricher, result, "rows");
+  note_run_stats(*enricher, result);
   return result;
 }
 
@@ -647,7 +646,7 @@ std::optional<Pipeline> PipelineExecutor::run_sources(
       merged.set_interception_issuers(*confirmed);
       merged.backfill_certificates(*base);
       merged.finalize();
-      note_run_stats(*enricher, merged, "rows");
+      note_run_stats(*enricher, merged);
       result.emplace(std::move(merged));
     }
   }
@@ -680,77 +679,6 @@ std::optional<Pipeline> PipelineExecutor::run_log_files(
   }
   return run_sources(*ssl, *x509, error, options, ledger);
 }
-
-namespace {
-
-/// Decodes every block of the container into the record shapes the
-/// in-memory entries take: the ssl stream concatenated in block order,
-/// and the x509 rows folded into a first-fuid-wins map in stream order
-/// (exactly what Dataset::add_x509 produces from the TSV parse).
-/// Blocks decode in parallel — each carries its own dictionary — and a
-/// decode failure reports the smallest-index failing block.
-bool decode_container_records(const colfmt::ContainerReader& reader,
-                              std::size_t k,
-                              std::vector<zeek::SslRecord>& ssl,
-                              zeek::Dataset::X509Map& x509,
-                              ingest::IngestError* error) {
-  std::mutex error_mutex;
-  std::size_t error_block = SIZE_MAX;
-  std::string error_reason;
-  const auto note_error = [&](std::size_t block, const char* what) {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (block < error_block) {
-      error_block = block;
-      error_reason = what;
-    }
-  };
-
-  const auto& x509_blocks = reader.x509_blocks();
-  const auto& ssl_blocks = reader.ssl_blocks();
-  std::vector<std::vector<zeek::X509Record>> x509_rows(x509_blocks.size());
-  std::vector<std::vector<zeek::SslRecord>> ssl_rows(ssl_blocks.size());
-  const std::size_t total = x509_blocks.size() + ssl_blocks.size();
-  parallel_ranges(total, k,
-                  [&](std::size_t, std::size_t begin, std::size_t end) {
-                    for (std::size_t i = begin; i < end; ++i) {
-                      try {
-                        if (i < x509_blocks.size()) {
-                          x509_rows[i] =
-                              reader.decode_x509_block(x509_blocks[i]);
-                        } else {
-                          const std::size_t j = i - x509_blocks.size();
-                          ssl_rows[j] = reader.decode_ssl_block(ssl_blocks[j]);
-                        }
-                      } catch (const StateError& e) {
-                        note_error(i, e.what());
-                      }
-                    }
-                  });
-  if (error_block != SIZE_MAX) {
-    if (error != nullptr) {
-      error->file = reader.path();
-      error->byte_offset = 0;
-      error->reason = "container block decode failed: " + error_reason;
-    }
-    return false;
-  }
-
-  for (auto& rows : x509_rows) {
-    for (auto& record : rows) {
-      const colfmt::Str fuid = record.fuid;
-      x509.emplace(fuid, std::move(record));
-    }
-  }
-  std::size_t ssl_total = 0;
-  for (const auto& rows : ssl_rows) ssl_total += rows.size();
-  ssl.reserve(ssl_total);
-  for (auto& rows : ssl_rows) {
-    for (auto& record : rows) ssl.push_back(std::move(record));
-  }
-  return true;
-}
-
-}  // namespace
 
 std::optional<Pipeline> PipelineExecutor::run_container(
     const colfmt::ContainerReader& reader, ingest::IngestError* error,
@@ -796,57 +724,14 @@ std::optional<Pipeline> PipelineExecutor::run_container(
     }
   }
 
-  // Scan-mode dispatch: auto takes the columnar path whenever it is
-  // eligible (no CT database — phase C needs full records); an explicit
-  // kColumnar with CT configured falls back to rows rather than running
-  // a different phase C.
-  const bool columnar = config_.ct == nullptr &&
-                        (scan_mode_ == ScanMode::kColumnar ||
-                         scan_mode_ == ScanMode::kAuto);
-  std::optional<Pipeline> result;
-  if (columnar) {
-    result = run_container_columnar(reader, error);
-    if (!result) return std::nullopt;
-  } else {
-    std::vector<zeek::SslRecord> ssl;
-    zeek::Dataset::X509Map x509;
-    if (!decode_container_records(reader, threads_, ssl, x509, error)) {
-      return std::nullopt;
-    }
-    result = run(ssl, x509);
-  }
-  if (ledger != nullptr) {
-    // Hand out exactly the ledger a TSV run over the original logs would
-    // have produced (shard state serializes every field, so map states
-    // from compact and TSV inputs must match byte-for-byte). Abort mode
-    // never accounts — run_sources only counts under skip — so a clean
-    // abort run carries an empty ledger. Skip mode carries the
-    // conversion counts (phases A/B: rows_ok + quarantine) plus the
-    // re-parse tolerations phases C/D would have counted over the same
-    // bad rows.
-    ErrorLedger out;
-    if (options.errors.skip()) {
-      const std::uint64_t ssl_bad = restored.quarantined(InputRole::kSsl);
-      out = std::move(restored);
-      if (config_.ct != nullptr) {
-        out.count_phase(LedgerPhase::kInterception, ssl_bad);
-      }
-      out.count_phase(LedgerPhase::kShardRun, ssl_bad);
-    }
-    out.finalize();
-    *ledger = std::move(out);
-  }
-  return result;
-}
-
-std::optional<Pipeline> PipelineExecutor::run_container_columnar(
-    const colfmt::ContainerReader& reader, ingest::IngestError* error) {
   const auto enricher = std::make_shared<const Enricher>(config_);
   const std::size_t k = threads_;
   const auto& x509_blocks = reader.x509_blocks();
   const auto& ssl_blocks = reader.ssl_blocks();
 
-  // Smallest-index failing block wins, as in decode_container_records.
+  // Block failures: x509 blocks index first, then ssl blocks; the
+  // smallest failing index wins, so the reported error does not depend
+  // on worker scheduling.
   std::mutex error_mutex;
   std::size_t error_block = SIZE_MAX;
   std::string error_reason;
@@ -919,16 +804,50 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
     }
   }
 
+  // --- Phase C (when CT is configured): contiguous block ranges, one
+  // candidate map per shard, rows scanned without uid into one reused
+  // record. Set union is order-independent, so the confirmed set equals
+  // the TSV path's for any block partition. ---
+  auto confirmed = std::make_shared<Pipeline::StrSet>();
+  if (!failed() && config_.ct != nullptr) {
+    std::vector<CandidateMap> local(k);
+    parallel_ranges(
+        ssl_blocks.size(), k,
+        [&](std::size_t shard, std::size_t begin, std::size_t end) {
+          zeek::SslRecord rec;
+          for (std::size_t i = begin; i < end; ++i) {
+            try {
+              auto scan = reader.scan_ssl_block(
+                  ssl_blocks[i], zeek::SslColumns::pipeline());
+              while (!scan.done()) {
+                scan.next(rec);
+                note_interception_candidate(config_, *enricher, *base, rec,
+                                            local[shard]);
+              }
+            } catch (const StateError& e) {
+              note_error(x509_blocks.size() + i, e.what());
+              return;
+            }
+          }
+        });
+    CandidateMap merged;
+    for (auto& candidates : local) {
+      for (auto& [issuer, domains] : candidates) {
+        merged[issuer].insert(domains.begin(), domains.end());
+      }
+    }
+    *confirmed = confirm_issuers(merged, config_.interception_domain_threshold);
+  }
+
   // --- Phases D + E: contiguous block ranges, one per shard; each row
   // is served into ONE reused record (uid pruned and left empty — no
   // enrichment rule or analyzer reads it) and fed straight to the shard
   // pipeline, whose EnrichCache folds the per-row host/address work down
   // to pointer-keyed lookups. Block boundaries are a contiguous stream
-  // partition, so the shard-order merge is byte-identical to the row
+  // partition, so the shard-order merge is byte-identical to the TSV
   // path for any thread count. ---
   std::optional<Pipeline> result;
   if (!failed()) {
-    auto confirmed = std::make_shared<Pipeline::StrSet>();
     const Pipeline::Prepared prepared{enricher, base, confirmed};
     std::vector<Pipeline> shards = make_shards(prepared);
     parallel_ranges(
@@ -956,15 +875,39 @@ std::optional<Pipeline> PipelineExecutor::run_container_columnar(
       merged.set_interception_issuers(*confirmed);
       merged.backfill_certificates(*base);
       merged.finalize();
-      note_run_stats(*enricher, merged, "columnar");
+      note_run_stats(*enricher, merged);
       result.emplace(std::move(merged));
     }
   }
+  if (!result) {
+    if (error != nullptr) {
+      error->file = reader.path();
+      error->byte_offset = 0;
+      error->reason = "container block decode failed: " + error_reason;
+    }
+    return std::nullopt;
+  }
 
-  if (!result && error != nullptr) {
-    error->file = reader.path();
-    error->byte_offset = 0;
-    error->reason = "container block decode failed: " + error_reason;
+  if (ledger != nullptr) {
+    // Hand out exactly the ledger a TSV run over the original logs would
+    // have produced (shard state serializes every field, so map states
+    // from compact and TSV inputs must match byte-for-byte). Abort mode
+    // never accounts — run_sources only counts under skip — so a clean
+    // abort run carries an empty ledger. Skip mode carries the
+    // conversion counts (phases A/B: rows_ok + quarantine) plus the
+    // re-parse tolerations phases C/D would have counted over the same
+    // bad rows.
+    ErrorLedger out;
+    if (options.errors.skip()) {
+      const std::uint64_t ssl_bad = restored.quarantined(InputRole::kSsl);
+      out = std::move(restored);
+      if (config_.ct != nullptr) {
+        out.count_phase(LedgerPhase::kInterception, ssl_bad);
+      }
+      out.count_phase(LedgerPhase::kShardRun, ssl_bad);
+    }
+    out.finalize();
+    *ledger = std::move(out);
   }
   return result;
 }

@@ -585,14 +585,12 @@ std::string render_json_with_perf(const ResultDoc& doc, int indent,
     w.value_uint(doc.run.parse_bytes);
     w.key("parse_bytes_per_second");
     w.value_double(doc.run.parse_bytes_per_second(), 0);
-    if (!doc.run.scan.empty()) {
-      // Enrichment memoization + scan choice (DESIGN §15). Volatile:
-      // hit/miss splits shift with shard boundaries even though the
-      // analysis results never do.
+    if (doc.run.enrich_present) {
+      // Enrichment memoization (DESIGN §15). Volatile: hit/miss splits
+      // shift with shard boundaries even though the analysis results
+      // never do.
       w.key("enrich");
       w.begin_object();
-      w.key("scan");
-      w.value_string(doc.run.scan);
       w.key("facts_cache_hits");
       w.value_uint(doc.run.facts_cache_hits);
       w.key("facts_cache_misses");

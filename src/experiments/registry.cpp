@@ -247,14 +247,14 @@ std::vector<core::ResultDoc> run_experiments(
       run.records = harness.records_processed();
       run.wall_seconds = harness.wall_seconds();
       run.parse_bytes = harness.parse_bytes();
-      const auto& scan_stats = harness.executor().last_run_stats();
-      run.scan = scan_stats.scan;
-      run.facts_cache_hits = scan_stats.facts_hits;
-      run.facts_cache_misses = scan_stats.facts_misses;
-      run.facts_cache_unique = scan_stats.facts_unique;
-      run.enrich_cache_hits = scan_stats.enrich_hits;
-      run.enrich_cache_misses = scan_stats.enrich_misses;
-      run.enrich_cache_unique = scan_stats.enrich_unique;
+      const auto& cache_stats = harness.executor().last_run_stats();
+      run.enrich_present = true;
+      run.facts_cache_hits = cache_stats.facts_hits;
+      run.facts_cache_misses = cache_stats.facts_misses;
+      run.facts_cache_unique = cache_stats.facts_unique;
+      run.enrich_cache_hits = cache_stats.enrich_hits;
+      run.enrich_cache_misses = cache_stats.enrich_misses;
+      run.enrich_cache_unique = cache_stats.enrich_unique;
       fill_data_quality(run, harness.ledger(), item.options);
       fill_durability(run);
       item.exp->report(harness, item.doc);

@@ -2,12 +2,19 @@
 // set bit-identically for every shard count, and the mergeable pieces
 // (CertFacts, connection analyzers) must fold correctly on their own.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "mtlscope/colfmt/container.hpp"
+#include "mtlscope/colfmt/convert.hpp"
 #include "mtlscope/core/analyzers.hpp"
 #include "mtlscope/core/executor.hpp"
 #include "mtlscope/gen/generator.hpp"
@@ -648,23 +655,78 @@ TEST(SplitLogTextTest, MoreChunksThanRowsYieldsHeaderOnlyTails) {
   EXPECT_EQ(total, 3u);
 }
 
+/// Temporary directory keyed by PID, removed with everything in it.
+struct TempDir {
+  std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("mtlscope_executor_" + std::to_string(::getpid()));
+  TempDir() { std::filesystem::create_directories(path); }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  std::string write(const std::string& name, const std::string& text) const {
+    const auto file = (path / name).string();
+    std::ofstream(file, std::ios::binary) << text;
+    return file;
+  }
+};
+
 TEST(ExecutorTest, RunLogsMatchesDatasetRun) {
   gen::TraceGenerator generator(gen::paper_model(2'000, 500'000));
   const auto dataset = generator.generate_dataset();
+  // Time order, as Zeek writes its logs: the interception connections
+  // then spread over every shard instead of sitting in one.
+  auto ssl = dataset.ssl();
+  std::stable_sort(ssl.begin(), ssl.end(),
+                   [](const zeek::SslRecord& a, const zeek::SslRecord& b) {
+                     return a.ts < b.ts;
+                   });
   auto config = core::PipelineConfig::campus_defaults();
   config.ct = &generator.ct_database();
+  // Each proxy issuer re-signs 15 CT-logged domains. At a threshold of 12
+  // a quarter of the stream confirms few issuers, so a 4-shard phase C
+  // must merge every shard's candidates to match the serial run.
+  config.interception_domain_threshold = 12;
 
   core::PipelineExecutor direct(config, 1);
-  const auto reference = direct.run(dataset);
+  const auto reference = direct.run(ssl, dataset.x509());
+  // Phase C must confirm something, or a skipped interception pre-pass
+  // would compare equal below.
+  ASSERT_FALSE(reference.interception_issuers().empty());
 
+  const std::string ssl_text = zeek::ssl_log_to_string(ssl);
+  const std::string x509_text = zeek::x509_log_to_string(dataset);
   core::PipelineExecutor from_logs(config, 4);
   zeek::LogParseError error;
-  const auto parsed =
-      from_logs.run_logs(zeek::ssl_log_to_string(dataset.ssl()),
-                         zeek::x509_log_to_string(dataset), &error);
+  const auto parsed = from_logs.run_logs(ssl_text, x509_text, &error);
   ASSERT_TRUE(parsed.has_value()) << error.message;
   expect_same_totals(*parsed, reference);
   expect_same_certificates(*parsed, reference);
+
+  // The same logs as a container, in blocks small enough that every
+  // shard of a 4-thread run scans several of them.
+  const TempDir temp;
+  colfmt::CompactRequest request;
+  request.ssl_path = temp.write("ssl.log", ssl_text);
+  request.x509_path = temp.write("x509.log", x509_text);
+  request.out_path = (temp.path / "logs.mtlc").string();
+  request.writer.block_rows = 256;
+  std::string compact_error;
+  ASSERT_TRUE(colfmt::compact_logs(request, nullptr, &compact_error))
+      << compact_error;
+  const auto reader =
+      colfmt::ContainerReader::open(request.out_path, &compact_error);
+  ASSERT_TRUE(reader.has_value()) << compact_error;
+  ASSERT_GE(reader->ssl_blocks().size(), 8u);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    core::PipelineExecutor from_container(config, threads);
+    ingest::IngestError ingest_error;
+    const auto scanned = from_container.run_container(*reader, &ingest_error);
+    ASSERT_TRUE(scanned.has_value()) << ingest_error.to_string();
+    expect_same_totals(*scanned, reference);
+    expect_same_certificates(*scanned, reference);
+  }
 }
 
 TEST(ExecutorTest, RunLogsReportsParseErrors) {
